@@ -118,6 +118,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzGridAccess -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzShardedGrid -fuzztime 10s
 	$(GO) test ./internal/cache/stackdist -run '^$$' -fuzz FuzzEngineVsNaive -fuzztime 10s
+	$(GO) test ./internal/cache/stackdist -run '^$$' -fuzz FuzzFALRUVsEngine -fuzztime 10s
 
 # Documentation gate: every exported symbol in the library packages
 # carries a doc comment, and README <-> docs cross-links resolve.

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/gf2"
 	"repro/internal/index"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -206,11 +205,11 @@ type placer struct {
 	place    index.Placement
 	kind     placeKind
 	skewed   bool
-	setMask  uint64           // pkModulo
-	foldBits uint             // pkXorFold: field width m
-	foldMask uint64           // pkXorFold
-	foldSkew bool             // pkXorFold
-	mats     []*gf2.BitMatrix // pkIPoly: one matrix per way
+	setMask  uint64      // pkModulo
+	foldBits uint        // pkXorFold: field width m
+	foldMask uint64      // pkXorFold
+	foldSkew bool        // pkXorFold
+	ipoly    ipolyTables // pkIPoly: per-way byte tables
 }
 
 // resolvePlacer devirtualizes place into one of the monomorphic fast
@@ -229,10 +228,7 @@ func resolvePlacer(place index.Placement, sets, ways int) placer {
 		pf.foldSkew = p.Skewed()
 	case *index.IPoly:
 		pf.kind = pkIPoly
-		pf.mats = make([]*gf2.BitMatrix, ways)
-		for w := 0; w < ways; w++ {
-			pf.mats[w] = p.Matrix(w)
-		}
+		pf.ipoly = compileIPoly(p, ways)
 	case index.Single:
 		pf.kind = pkSingle
 	}
@@ -255,12 +251,60 @@ func (p *placer) setIndex(block uint64, w int) uint64 {
 		}
 		return lo ^ hi
 	case pkIPoly:
-		return p.mats[w].Apply(block)
+		return p.ipoly.apply(block, w)
 	case pkSingle:
 		return 0
 	default:
 		return p.place.SetIndex(block, w)
 	}
+}
+
+// ipolyTables is an I-Poly placement's per-way bit matrices compiled
+// into per-input-byte lookup tables (see gf2.ByteTables): two or three
+// table loads replace the per-row popcount network of BitMatrix.Apply.
+// The placer compiles it once for Cache and Grid; ColumnAssociative
+// compiles one for its rehash.
+type ipolyTables struct {
+	tabs [][]uint32 // tabs[w]: way w's tables
+	// tab2 views tabs as two-table arrays when the input fits 16 bits
+	// (the common geometry): the apply is then two bounds-check-free
+	// loads and one XOR, no loop.
+	tab2 []*[512]uint32
+	mask uint64 // the matrices' input bits
+}
+
+// compileIPoly compiles the matrices of p's first ways ways.
+func compileIPoly(p *index.IPoly, ways int) ipolyTables {
+	t := ipolyTables{tabs: make([][]uint32, ways), mask: ^uint64(0)}
+	if in := p.InputBits(); in < 64 {
+		t.mask = 1<<uint(in) - 1
+	}
+	for w := range t.tabs {
+		t.tabs[w] = p.Matrix(w).ByteTables()
+	}
+	if len(t.tabs[0]) == 512 {
+		t.tab2 = make([]*[512]uint32, ways)
+		for w, tabs := range t.tabs {
+			t.tab2[w] = (*[512]uint32)(tabs)
+		}
+	}
+	return t
+}
+
+// apply returns way w's image of block: BitMatrix.Apply by table lookup.
+func (t *ipolyTables) apply(block uint64, w int) uint64 {
+	a := block & t.mask
+	if t.tab2 != nil {
+		tw := t.tab2[w]
+		return uint64(tw[a&0xff] ^ tw[256|int(a>>8)])
+	}
+	tabs := t.tabs[w]
+	s := uint64(tabs[a&0xff])
+	for i := 1; a > 0xff; i++ {
+		a >>= 8
+		s ^= uint64(tabs[i<<8|int(a&0xff)])
+	}
+	return s
 }
 
 // Cache is a set-associative cache with a pluggable placement function.

@@ -47,7 +47,7 @@ func (b MissBreakdown) Total() uint64 { return b.Compulsory + b.Capacity + b.Con
 // ever-seen blocks so each miss in the cache under test can be labelled.
 type Classifier struct {
 	seen   map[uint64]struct{}
-	shadow *lruSet
+	shadow *FALRU // filled on every access, loads and stores alike
 	brk    MissBreakdown
 }
 
@@ -59,7 +59,7 @@ func NewClassifier(capacityBlocks int) *Classifier {
 	}
 	return &Classifier{
 		seen:   make(map[uint64]struct{}),
-		shadow: newLRUSet(capacityBlocks),
+		shadow: NewFALRU(capacityBlocks, 1),
 	}
 }
 
@@ -69,7 +69,7 @@ func NewClassifier(capacityBlocks int) *Classifier {
 func (cl *Classifier) Observe(block uint64, missed bool) (MissKind, bool) {
 	_, everSeen := cl.seen[block]
 	cl.seen[block] = struct{}{}
-	shadowHit := cl.shadow.access(block)
+	shadowHit := cl.shadow.Touch(block, true)
 	if !missed {
 		return 0, false
 	}
@@ -88,73 +88,3 @@ func (cl *Classifier) Observe(block uint64, missed bool) (MissKind, bool) {
 
 // Breakdown returns the accumulated counts.
 func (cl *Classifier) Breakdown() MissBreakdown { return cl.brk }
-
-// lruSet is a fully-associative LRU set implemented with a doubly-linked
-// list over a map, O(1) per access.
-type lruSet struct {
-	cap   int
-	nodes map[uint64]*lruNode
-	head  *lruNode // most recent
-	tail  *lruNode // least recent
-}
-
-type lruNode struct {
-	block      uint64
-	prev, next *lruNode
-}
-
-func newLRUSet(capacity int) *lruSet {
-	return &lruSet{cap: capacity, nodes: make(map[uint64]*lruNode, capacity)}
-}
-
-// access touches block, returning true on hit.  On miss the block is
-// inserted, evicting the LRU entry if full.
-func (l *lruSet) access(block uint64) bool {
-	if n, ok := l.nodes[block]; ok {
-		l.moveToFront(n)
-		return true
-	}
-	if len(l.nodes) >= l.cap {
-		victim := l.tail
-		l.unlink(victim)
-		delete(l.nodes, victim.block)
-	}
-	n := &lruNode{block: block}
-	l.nodes[block] = n
-	l.pushFront(n)
-	return false
-}
-
-func (l *lruSet) pushFront(n *lruNode) {
-	n.prev = nil
-	n.next = l.head
-	if l.head != nil {
-		l.head.prev = n
-	}
-	l.head = n
-	if l.tail == nil {
-		l.tail = n
-	}
-}
-
-func (l *lruSet) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		l.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		l.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (l *lruSet) moveToFront(n *lruNode) {
-	if l.head == n {
-		return
-	}
-	l.unlink(n)
-	l.pushFront(n)
-}

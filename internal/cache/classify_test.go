@@ -81,25 +81,26 @@ func TestConflictMissesVanishUnderIPoly(t *testing.T) {
 	}
 }
 
-func TestLRUSetExactness(t *testing.T) {
-	l := newLRUSet(3)
+func TestFALRUExactness(t *testing.T) {
+	l := NewFALRU(3, 1)
+	access := func(b uint64) bool { return l.Touch(b, true) }
 	for _, b := range []uint64{1, 2, 3} {
-		if l.access(b) {
+		if access(b) {
 			t.Errorf("cold access of %d hit", b)
 		}
 	}
-	l.access(1)      // 1 MRU; order now 1,3,2
-	if l.access(4) { // evicts 2
+	access(1)      // 1 MRU; order now 1,3,2
+	if access(4) { // evicts 2
 		t.Error("4 hit")
 	}
-	if l.access(2) {
+	if access(2) {
 		t.Error("2 should have been evicted")
 	}
 	// Now 2 MRU, order 2,4,1; 3 evicted by the miss on 2.
-	if l.access(3) {
+	if access(3) {
 		t.Error("3 should have been evicted")
 	}
-	if !l.access(2) || !l.access(4) {
+	if !access(2) || !access(4) {
 		t.Error("2 and 4 should be resident")
 	}
 }

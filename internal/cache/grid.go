@@ -57,19 +57,10 @@ type gridPoint struct {
 	// size), the point's offset bits otherwise.
 	shift uint
 
+	// placer carries the devirtualized index, I-Poly byte tables
+	// included; the hot loops read placer.ipoly directly to inline the
+	// two-table apply.
 	placer
-	// ipolyTabs[w] is way w's bit matrix compiled into per-input-byte
-	// lookup tables: the modulus map is linear over GF(2), so
-	// Apply(a) == tab[0][a&0xff] ^ tab[1][a>>8&0xff] ^ ... — two or
-	// three table loads replace the per-row popcount network in the
-	// inner loop.  ipolyMask masks the address down to the matrix's
-	// input bits before the byte split.
-	ipolyTabs [][]uint32
-	// ipolyTab2 is ipolyTabs viewed as two-table arrays when the input
-	// fits 16 bits (the common geometry): the apply is then two
-	// bounds-check-free loads and one XOR, no loop.
-	ipolyTab2 []*[512]uint32
-	ipolyMask uint64
 
 	base    int      // first line index in the backing arrays
 	plru    []uint64 // tree-PLRU state per set (PLRU only)
@@ -137,22 +128,6 @@ func NewGrid(spec GridSpec) *Grid {
 		p.ways = cfg.Ways
 		p.shift = uint(bits.TrailingZeros(uint(cfg.BlockSize)))
 		p.placer = resolvePlacer(place, sets, cfg.Ways)
-		if p.kind == pkIPoly {
-			p.ipolyTabs = make([][]uint32, cfg.Ways)
-			for w := 0; w < cfg.Ways; w++ {
-				p.ipolyTabs[w] = p.mats[w].ByteTables()
-			}
-			p.ipolyMask = ^uint64(0)
-			if in := p.mats[0].InputBits(); in < 64 {
-				p.ipolyMask = 1<<uint(in) - 1
-			}
-			if len(p.ipolyTabs[0]) == 512 {
-				p.ipolyTab2 = make([]*[512]uint32, cfg.Ways)
-				for w := 0; w < cfg.Ways; w++ {
-					p.ipolyTab2[w] = (*[512]uint32)(p.ipolyTabs[w])
-				}
-			}
-		}
 		p.base = total
 		total += sets * cfg.Ways
 		if cfg.Replacement == PLRU {
@@ -274,7 +249,7 @@ func (g *Grid) AccessStream(recs []trace.Rec) uint64 {
 		case p.skewed && p.sentinel && p.ways == 2:
 			g.replaySkewed2(p, blks, wr)
 		case p.skewed && p.sentinel && p.ways == 4 &&
-			p.cfg.Replacement == LRU && p.ipolyTab2 != nil:
+			p.cfg.Replacement == LRU && p.ipoly.tab2 != nil:
 			g.replaySkewed4LRU(p, blks, wr)
 		case p.skewed && p.sentinel:
 			g.replaySkewed(p, blks, wr)
@@ -303,8 +278,8 @@ func (g *Grid) replayDM(p *gridPoint, blks []uint64, wr []bool) {
 	wb, wa := p.wb, p.wa
 	modulo := p.kind == pkModulo
 	var tab2 *[512]uint32
-	if p.ipolyTab2 != nil {
-		tab2 = p.ipolyTab2[0]
+	if p.ipoly.tab2 != nil {
+		tab2 = p.ipoly.tab2[0]
 	}
 	st := p.stats
 	for i, blk := range blks {
@@ -316,10 +291,10 @@ func (g *Grid) replayDM(p *gridPoint, blks []uint64, wr []bool) {
 		case modulo:
 			s = blk & p.setMask
 		case tab2 != nil:
-			a := blk & p.ipolyMask
+			a := blk & p.ipoly.mask
 			s = uint64(tab2[a&0xff] ^ tab2[256|int(a>>8)])
 		default:
-			s = p.setIndexFast(blk, 0)
+			s = p.setIndex(blk, 0)
 		}
 		li := p.base + int(s)
 		if blocks[li] == blk {
@@ -364,28 +339,6 @@ func (g *Grid) replayDM(p *gridPoint, blks []uint64, wr []bool) {
 	p.clock += uint64(len(blks))
 }
 
-// ipolyApply looks blk's set index up through way w's byte tables.
-func (p *gridPoint) ipolyApply(blk uint64, w int) uint64 {
-	a := blk & p.ipolyMask
-	tabs := p.ipolyTabs[w]
-	s := uint64(tabs[a&0xff])
-	for t := 1; a > 0xff; t++ {
-		a >>= 8
-		s ^= uint64(tabs[t<<8|int(a&0xff)])
-	}
-	return s
-}
-
-// setIndexFast computes point p's set index for way w: the shared
-// devirtualized placer paths, with the I-Poly family routed through the
-// per-byte tables instead of the popcount network.
-func (p *gridPoint) setIndexFast(blk uint64, w int) uint64 {
-	if p.kind == pkIPoly {
-		return p.ipolyApply(blk, w)
-	}
-	return p.placer.setIndex(blk, w)
-}
-
 // replayUniform drives one non-skewed point through the pre-split chunk,
 // mirroring Cache.accessUniform decision-for-decision.  Statistics and
 // the recency clock accumulate in locals and flush once per chunk, so
@@ -408,7 +361,7 @@ func (g *Grid) replayUniform(p *gridPoint, blks []uint64, wr []bool) {
 		if modulo {
 			s = blk & p.setMask
 		} else {
-			s = p.setIndexFast(blk, 0)
+			s = p.setIndex(blk, 0)
 		}
 		base := p.base + int(s)*ways
 		set := blocks[base : base+ways]
@@ -508,7 +461,7 @@ func (g *Grid) replayUniformState(p *gridPoint, blks []uint64, wr []bool) {
 		write := wr[i]
 		clock++
 		st.Accesses++
-		s := p.setIndexFast(blk, 0)
+		s := p.setIndex(blk, 0)
 		base := p.base + int(s)*ways
 		hit := -1
 		for w := 0; w < ways; w++ {
@@ -608,7 +561,7 @@ func (g *Grid) replayUniform2(p *gridPoint, blks []uint64, wr []bool) {
 		if modulo {
 			s = blk & p.setMask
 		} else {
-			s = p.setIndexFast(blk, 0)
+			s = p.setIndex(blk, 0)
 		}
 		base := p.base + int(s)*2
 		var li int
@@ -693,7 +646,7 @@ func (g *Grid) replayUniform4LRU(p *gridPoint, blks []uint64, wr []bool) {
 		if modulo {
 			s = blk & p.setMask
 		} else {
-			s = p.setIndexFast(blk, 0)
+			s = p.setIndex(blk, 0)
 		}
 		base := p.base + int(s)*4
 		set := blocks[base : base+4 : base+4]
@@ -768,10 +721,10 @@ func (g *Grid) replaySkewed2(p *gridPoint, blks []uint64, wr []bool) {
 	blocks, state := g.blocks, g.state
 	wb, wa := p.wb, p.wa
 	var t0, t1 *[512]uint32
-	if p.ipolyTab2 != nil {
-		t0, t1 = p.ipolyTab2[0], p.ipolyTab2[1]
+	if p.ipoly.tab2 != nil {
+		t0, t1 = p.ipoly.tab2[0], p.ipoly.tab2[1]
 	}
-	mask := p.ipolyMask
+	mask := p.ipoly.mask
 	st := p.stats
 	clock := p.clock
 	for i, blk := range blks {
@@ -786,7 +739,7 @@ func (g *Grid) replaySkewed2(p *gridPoint, blks []uint64, wr []bool) {
 			a := blk & mask
 			s0 = uint64(t0[a&0xff] ^ t0[256|int(a>>8)])
 		} else {
-			s0 = p.setIndexFast(blk, 0)
+			s0 = p.setIndex(blk, 0)
 		}
 		li0 := p.base + int(s0)*2
 		var li int
@@ -798,7 +751,7 @@ func (g *Grid) replaySkewed2(p *gridPoint, blks []uint64, wr []bool) {
 				a := blk & mask
 				s1 = uint64(t1[a&0xff] ^ t1[256|int(a>>8)])
 			} else {
-				s1 = p.setIndexFast(blk, 1)
+				s1 = p.setIndex(blk, 1)
 			}
 			li1 := p.base + int(s1)*2 + 1
 			if blocks[li1] == blk {
@@ -862,8 +815,8 @@ func (g *Grid) replaySkewed2(p *gridPoint, blks []uint64, wr []bool) {
 func (g *Grid) replaySkewed4LRU(p *gridPoint, blks []uint64, wr []bool) {
 	blocks, state := g.blocks, g.state
 	wb, wa := p.wb, p.wa
-	t0, t1, t2, t3 := p.ipolyTab2[0], p.ipolyTab2[1], p.ipolyTab2[2], p.ipolyTab2[3]
-	mask := p.ipolyMask
+	t0, t1, t2, t3 := p.ipoly.tab2[0], p.ipoly.tab2[1], p.ipoly.tab2[2], p.ipoly.tab2[3]
+	mask := p.ipoly.mask
 	st := p.stats
 	clock := p.clock
 	for i, blk := range blks {
@@ -953,7 +906,7 @@ func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
 	blocks, state := g.blocks, g.state
 	ways := p.ways
 	wb, wa := p.wb, p.wa
-	tab2 := p.ipolyTab2
+	tab2 := p.ipoly.tab2
 	idx := p.scratch
 	st := p.stats
 	clock := p.clock
@@ -967,11 +920,11 @@ func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
 		for w := 0; w < ways; w++ {
 			var s uint64
 			if tab2 != nil {
-				a := blk & p.ipolyMask
+				a := blk & p.ipoly.mask
 				t := tab2[w]
 				s = uint64(t[a&0xff] ^ t[256|int(a>>8)])
 			} else {
-				s = p.setIndexFast(blk, w)
+				s = p.setIndex(blk, w)
 			}
 			idx[w] = s
 			li := p.base + int(s)*ways + w
@@ -1037,7 +990,7 @@ func (g *Grid) replaySkewedState(p *gridPoint, blks []uint64, wr []bool) {
 		hit := -1
 		hitLi := 0
 		for w := 0; w < ways; w++ {
-			s := p.setIndexFast(blk, w)
+			s := p.setIndex(blk, w)
 			idx[w] = s
 			li := p.base + int(s)*ways + w
 			if state[li]&lineValid != 0 && blocks[li] == blk {

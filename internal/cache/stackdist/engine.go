@@ -202,8 +202,8 @@ func (e *Engine) Access(addr uint64, write bool) {
 func (e *Engine) AccessBlock(blk uint64, write bool) {
 	e.clock++
 	now := e.clock
-	base := int(e.setIndex(blk)) * e.maxWays
-	si := base / e.maxWays
+	si := int(e.setIndex(blk))
+	base := si * e.maxWays
 	dep := int(e.depth[si])
 	d := -1
 	for i := 0; i < dep; i++ {

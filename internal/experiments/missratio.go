@@ -41,10 +41,10 @@ type OrgResult struct {
 }
 
 // orgNames lists the contestants in presentation order.  The skewed
-// organizations are grid points; the LRU non-skewed ones (direct-mapped,
-// 2-way, fully-assoc) come out of stack-distance engines; victim(4) and
-// column-assoc are composite structures a Grid cannot subsume.  All
-// replay as consumers of the same single trace pass.
+// organizations are grid points; direct-mapped and 2-way come out of
+// stack-distance engines and fully-assoc out of an O(1) LRU list;
+// victim(4) and column-assoc are composite structures a Grid cannot
+// subsume.  All replay as consumers of the same single trace pass.
 func orgNames() []string {
 	return []string{
 		"direct-mapped", "2-way", "2-way skewed-Hx", "2-way shuffle-Hx2", "victim(4)",
@@ -55,7 +55,7 @@ func orgNames() []string {
 // orgSpec builds the skewed contestants as a grid spec, all 8 KB with
 // 32-byte lines, and the mapping from presentation index to grid point
 // (-1 for the organizations simulated elsewhere: composites, and the
-// LRU non-skewed points that orgEngines derives via stack distance).
+// LRU non-skewed points that orgEngines builds).
 func orgSpec() (spec cache.GridSpec, gridIdx []int) {
 	base := func(ways int, p index.Placement) cache.Config {
 		return cache.Config{
@@ -72,24 +72,27 @@ func orgSpec() (spec cache.GridSpec, gridIdx []int) {
 	return spec, gridIdx
 }
 
-// orgEngines builds the stack-distance engines behind the LRU
-// non-skewed contestants — direct-mapped (256 sets), 2-way (128 sets)
-// and fully-associative (1 set, 256 ways), all 8 KB with 32-byte lines
-// and the paper's write-through non-allocating stores.  Their StatsAt
-// results are bit-identical to the explicit grid points they replace
-// (the stackdist differential suite pins this).
-func orgEngines() (dm, twoWay, fa *stackdist.Engine) {
+// orgEngines builds the LRU non-skewed contestants: direct-mapped (256
+// sets) and 2-way (128 sets) as stack-distance engines, and the
+// fully-associative point (256 blocks) as a cache.FALRU — only its
+// 256-way statistics are read, so the all-associativity stack would be
+// wasted work.  All are 8 KB with 32-byte lines and the paper's
+// write-through non-allocating stores, and their statistics are
+// bit-identical to the explicit grid points they replace (the stackdist
+// differential suite and the FALRU-vs-engine fuzz target pin this).
+func orgEngines() (dm, twoWay *stackdist.Engine, fa *cache.FALRU) {
 	dm = stackdist.New(stackdist.Config{Sets: 256, BlockSize: 32, MaxWays: 1})
 	twoWay = stackdist.New(stackdist.Config{Sets: 128, BlockSize: 32, MaxWays: 2})
-	fa = stackdist.New(stackdist.Config{Sets: 1, BlockSize: 32, MaxWays: 256, Placement: index.Single{}})
+	fa = cache.NewFALRU(256, 32)
 	return dm, twoWay, fa
 }
 
 // RunOrgsCtx runs the comparison on the parallel engine, one job per
 // benchmark: the skewed organizations advance together inside a
-// cache.Grid while the LRU non-skewed points (stack-distance engines)
-// and the composite ones ride the same pass as auxiliary replays, so
-// each benchmark's trace is streamed exactly once.
+// cache.Grid while the LRU non-skewed points (stack-distance engines
+// and the fully-associative LRU) and the composite ones ride the same
+// pass as auxiliary replays, so each benchmark's trace is streamed
+// exactly once.
 func RunOrgsCtx(ctx context.Context, cfg OrgsConfig) (OrgResult, error) {
 	cfg = cfg.normalize()
 	names := orgNames()
@@ -104,7 +107,7 @@ func RunOrgsCtx(ctx context.Context, cfg OrgsConfig) (OrgResult, error) {
 		jobs[i] = runner.KeyedJob("missratio/orgs/"+prof.Name,
 			func(c *runner.Ctx) ([]float64, error) {
 				// Shardable state: the skewed grid points, the three
-				// stack-distance engines and the two composites.
+				// LRU engines and the two composites.
 				nsh := shardCount(cfg.Shards, len(spec)+5)
 				g := cache.NewShardedGrid(spec, nsh)
 				dm, twoWay, fa := orgEngines()
@@ -132,7 +135,7 @@ func RunOrgsCtx(ctx context.Context, cfg OrgsConfig) (OrgResult, error) {
 					case names[o] == "2-way":
 						row[o] = 100 * twoWay.StatsAt(2).ReadMissRatio()
 					case names[o] == "fully-assoc":
-						row[o] = 100 * fa.StatsAt(256).ReadMissRatio()
+						row[o] = 100 * fa.Stats().ReadMissRatio()
 					case names[o] == "victim(4)":
 						row[o] = 100 * vic.Stats().ReadMissRatio()
 					default: // column-assoc

@@ -20,6 +20,9 @@ type PageTable struct {
 	m        map[uint64]uint64 // vpage -> ppage
 	next     uint64
 	rnd      *rng.RNG // nil => sequential first-touch assignment
+	// refs counts, per physical page, the virtual pages mapping to it
+	// (scrambled mode only): its key set is exactly the pages in use.
+	refs map[uint64]int
 }
 
 // NewPageTable returns a page table with 2^pageBits-byte pages.  If
@@ -32,6 +35,7 @@ func NewPageTable(pageBits int, scrambleSeed uint64) *PageTable {
 	pt := &PageTable{pageBits: pageBits, m: make(map[uint64]uint64)}
 	if scrambleSeed != 0 {
 		pt.rnd = rng.New(scrambleSeed)
+		pt.refs = make(map[uint64]int)
 	}
 	return pt
 }
@@ -49,7 +53,7 @@ func (pt *PageTable) Translate(vaddr uint64) uint64 {
 	ppage, ok := pt.m[vpage]
 	if !ok {
 		ppage = pt.allocate()
-		pt.m[vpage] = ppage
+		pt.bind(vpage, ppage)
 	}
 	return ppage<<uint(pt.pageBits) | vaddr&(1<<uint(pt.pageBits)-1)
 }
@@ -61,18 +65,31 @@ func (pt *PageTable) allocate() uint64 {
 		pt.next++
 		return p
 	}
-	// Scrambled: skip pages already handed out.  The used set is small
-	// relative to a 2^34 page space, so retries are rare.
-	used := make(map[uint64]bool, len(pt.m))
-	for _, p := range pt.m {
-		used[p] = true
-	}
+	// Scrambled: redraw while the page is in use by some virtual page.
+	// The in-use set is maintained incrementally by bind, so each draw
+	// costs one map probe and a first touch is O(1) expected; the draw
+	// sequence is the same as checking against a fresh scan of m.
 	for {
 		p := pt.rnd.Uint64() & (1<<34 - 1)
-		if !used[p] {
+		if pt.refs[p] == 0 {
 			return p
 		}
 	}
+}
+
+// bind maps vpage to ppage, keeping the in-use page counts exact: a
+// physical page left with no virtual page mapping it is released.
+func (pt *PageTable) bind(vpage, ppage uint64) {
+	if pt.refs != nil {
+		if old, had := pt.m[vpage]; had {
+			pt.refs[old]--
+			if pt.refs[old] == 0 {
+				delete(pt.refs, old)
+			}
+		}
+		pt.refs[ppage]++
+	}
+	pt.m[vpage] = ppage
 }
 
 // AddAlias maps virtual page vpage2 to the same physical page as vpage1
@@ -83,9 +100,9 @@ func (pt *PageTable) AddAlias(vpage1, vpage2 uint64) {
 	p, ok := pt.m[vpage1]
 	if !ok {
 		p = pt.allocate()
-		pt.m[vpage1] = p
+		pt.bind(vpage1, p)
 	}
-	pt.m[vpage2] = p
+	pt.bind(vpage2, p)
 }
 
 // Mapped returns the number of mapped virtual pages.
