@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-cache bench-trace bench-grid bench-stackdist bench-store bench-parallel bench-serve bench-ingest fuzz-smoke lint doccheck report ci
+.PHONY: build test race bench bench-smoke bench-cache bench-trace bench-grid bench-stackdist bench-store bench-parallel bench-serve bench-ingest fuzz-smoke examples lint doccheck report ci
 
 build:
 	$(GO) build ./...
@@ -110,8 +110,9 @@ bench-ingest:
 	$(GO) run ./cmd/benchjson -suite ingest < bench_ingest.txt > BENCH_ingest.current.json
 	@cat BENCH_ingest.current.json
 
-# Short native-fuzz smoke over the trace codec and the simulation
-# engines (one target per invocation, as `go test -fuzz` requires).
+# Short native-fuzz smoke over the trace codec, the simulation engines
+# and the packed-trace decoder (one target per invocation, as
+# `go test -fuzz` requires).
 fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReaderCorrupt -fuzztime 10s
@@ -119,6 +120,13 @@ fuzz-smoke:
 	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzShardedGrid -fuzztime 10s
 	$(GO) test ./internal/cache/stackdist -run '^$$' -fuzz FuzzEngineVsNaive -fuzztime 10s
 	$(GO) test ./internal/cache/stackdist -run '^$$' -fuzz FuzzFALRUVsEngine -fuzztime 10s
+	$(GO) test ./internal/tracestore -run '^$$' -fuzz FuzzDecodePacked -fuzztime 10s
+
+# Run every example program; a non-zero exit fails the target.
+examples:
+	@for e in examples/*/; do \
+		echo "== $$e"; $(GO) run ./$$e || exit 1; \
+	done
 
 # Documentation gate: every exported symbol in the library packages
 # carries a doc comment, and README <-> docs cross-links resolve.
@@ -143,4 +151,4 @@ report:
 	$(GO) run ./cmd/repro all -instructions 20000 -maxstride 512 -json > repro-report.current.json
 	@wc -c repro-list.current.json repro-report.current.json
 
-ci: build lint test race bench-smoke report
+ci: build lint test examples race bench-smoke report

@@ -25,7 +25,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cache/stackdist"
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/exp"
 	"repro/internal/experiments"
@@ -328,14 +327,6 @@ func BenchmarkHierarchy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Access(uint64(r.Intn(1<<20)), false)
-	}
-}
-
-// BenchmarkCoreAPI measures the public core.Cache access path.
-func BenchmarkCoreAPI(b *testing.B) {
-	c := core.MustNew(core.Spec{SizeBytes: 8 << 10, BlockBytes: 32, Ways: 2})
-	for i := 0; i < b.N; i++ {
-		c.Access(uint64(i)*64, core.Load)
 	}
 }
 

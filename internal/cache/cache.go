@@ -186,7 +186,7 @@ type Result struct {
 	EvictedDirty bool
 }
 
-// placeKind tags the monomorphic placement fast path resolved at New.
+// placeKind tags the monomorphic placement fast path NewPlacer resolves.
 type placeKind uint8
 
 const (
@@ -197,11 +197,13 @@ const (
 	pkSingle                   // fully-associative single set
 )
 
-// placer is the devirtualized placement state shared by Cache and Grid:
-// the index.Placement interface resolved at construction into one of the
-// monomorphic fast paths, so the per-access index computation never
-// dispatches through the interface for the known families.
-type placer struct {
+// Placer is a placement compiled for the per-access hot path: the
+// index.Placement interface resolved once into one of the monomorphic
+// fast paths, so computing a set index never dispatches through the
+// interface for the known families.  It is the one placement compiler
+// every engine shares: Cache, Grid, ColumnAssociative and the
+// stack-distance engine.
+type Placer struct {
 	place    index.Placement
 	kind     placeKind
 	skewed   bool
@@ -212,11 +214,11 @@ type placer struct {
 	ipoly    ipolyTables // pkIPoly: per-way byte tables
 }
 
-// resolvePlacer devirtualizes place into one of the monomorphic fast
-// paths.  Unknown implementations keep the (correct but slower)
+// NewPlacer compiles place for a geometry of sets sets and ways ways.
+// Unknown implementations keep the (correct but slower)
 // interface-dispatch path.
-func resolvePlacer(place index.Placement, sets, ways int) placer {
-	pf := placer{place: place, kind: pkGeneric, skewed: place.Skewed()}
+func NewPlacer(place index.Placement, sets, ways int) Placer {
+	pf := Placer{place: place, kind: pkGeneric, skewed: place.Skewed()}
 	switch p := place.(type) {
 	case *index.Modulo:
 		pf.kind = pkModulo
@@ -235,9 +237,9 @@ func resolvePlacer(place index.Placement, sets, ways int) placer {
 	return pf
 }
 
-// setIndex computes the set index for block in way w through the
-// devirtualized fast path.
-func (p *placer) setIndex(block uint64, w int) uint64 {
+// SetIndex computes the set index for block in way w, equal to the
+// placement's own SetIndex(block, w).
+func (p *Placer) SetIndex(block uint64, w int) uint64 {
 	switch p.kind {
 	case pkModulo:
 		return block & p.setMask
@@ -251,7 +253,18 @@ func (p *placer) setIndex(block uint64, w int) uint64 {
 		}
 		return lo ^ hi
 	case pkIPoly:
-		return p.ipoly.apply(block, w)
+		a := block & p.ipoly.mask
+		if p.ipoly.tab2 != nil {
+			tw := &p.ipoly.tab2[w]
+			return uint64(tw[a&0xff] ^ tw[256|int(a>>8)])
+		}
+		tabs := p.ipoly.tabs[w]
+		s := uint64(tabs[a&0xff])
+		for i := 1; a > 0xff; i++ {
+			a >>= 8
+			s ^= uint64(tabs[i<<8|int(a&0xff)])
+		}
+		return s
 	case pkSingle:
 		return 0
 	default:
@@ -262,49 +275,34 @@ func (p *placer) setIndex(block uint64, w int) uint64 {
 // ipolyTables is an I-Poly placement's per-way bit matrices compiled
 // into per-input-byte lookup tables (see gf2.ByteTables): two or three
 // table loads replace the per-row popcount network of BitMatrix.Apply.
-// The placer compiles it once for Cache and Grid; ColumnAssociative
-// compiles one for its rehash.
 type ipolyTables struct {
-	tabs [][]uint32 // tabs[w]: way w's tables
-	// tab2 views tabs as two-table arrays when the input fits 16 bits
-	// (the common geometry): the apply is then two bounds-check-free
-	// loads and one XOR, no loop.
-	tab2 []*[512]uint32
-	mask uint64 // the matrices' input bits
+	// tab2[w] holds way w's two tables when the input fits 16 bits (the
+	// common geometry), inline so a lookup is two loads and one XOR with
+	// no pointer to chase and no loop.  nil otherwise.
+	tab2 [][512]uint32
+	tabs [][]uint32 // tabs[w]: way w's tables when tab2 is nil
+	mask uint64     // the matrices' input bits
 }
 
 // compileIPoly compiles the matrices of p's first ways ways.
 func compileIPoly(p *index.IPoly, ways int) ipolyTables {
-	t := ipolyTables{tabs: make([][]uint32, ways), mask: ^uint64(0)}
+	t := ipolyTables{mask: ^uint64(0)}
 	if in := p.InputBits(); in < 64 {
 		t.mask = 1<<uint(in) - 1
 	}
-	for w := range t.tabs {
-		t.tabs[w] = p.Matrix(w).ByteTables()
+	tabs := make([][]uint32, ways)
+	for w := range tabs {
+		tabs[w] = p.Matrix(w).ByteTables()
 	}
-	if len(t.tabs[0]) == 512 {
-		t.tab2 = make([]*[512]uint32, ways)
-		for w, tabs := range t.tabs {
-			t.tab2[w] = (*[512]uint32)(tabs)
-		}
+	if len(tabs[0]) != 512 {
+		t.tabs = tabs
+		return t
+	}
+	t.tab2 = make([][512]uint32, ways)
+	for w, tw := range tabs {
+		t.tab2[w] = [512]uint32(tw)
 	}
 	return t
-}
-
-// apply returns way w's image of block: BitMatrix.Apply by table lookup.
-func (t *ipolyTables) apply(block uint64, w int) uint64 {
-	a := block & t.mask
-	if t.tab2 != nil {
-		tw := t.tab2[w]
-		return uint64(tw[a&0xff] ^ tw[256|int(a>>8)])
-	}
-	tabs := t.tabs[w]
-	s := uint64(tabs[a&0xff])
-	for i := 1; a > 0xff; i++ {
-		a >>= 8
-		s ^= uint64(tabs[i<<8|int(a&0xff)])
-	}
-	return s
 }
 
 // Cache is a set-associative cache with a pluggable placement function.
@@ -315,8 +313,7 @@ type Cache struct {
 	ways    int
 	offBits int
 
-	// Devirtualized placement state (see resolvePlacer).
-	placer
+	pl Placer // the compiled placement (see NewPlacer)
 
 	// lines is the flat set-major line store: way w of set s lives at
 	// lines[int(s)*ways + w], so all candidate ways of a non-skewed
@@ -373,11 +370,11 @@ func New(cfg Config) *Cache {
 		sets:    sets,
 		ways:    cfg.Ways,
 		offBits: bits.TrailingZeros(uint(cfg.BlockSize)),
-		placer:  resolvePlacer(place, sets, cfg.Ways),
+		pl:      NewPlacer(place, sets, cfg.Ways),
 		rnd:     rng.New(cfg.Seed ^ 0xCAFE),
 	}
 	c.lines = make([]line, sets*cfg.Ways)
-	if c.skewed {
+	if c.pl.skewed {
 		c.setScratch = make([]uint64, cfg.Ways)
 	}
 	if cfg.Replacement == PLRU {
@@ -390,7 +387,7 @@ func New(cfg Config) *Cache {
 func (c *Cache) Config() Config { return c.cfg }
 
 // Placement returns the placement function in use.
-func (c *Cache) Placement() index.Placement { return c.place }
+func (c *Cache) Placement() index.Placement { return c.pl.place }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
@@ -419,7 +416,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 func (c *Cache) AccessBlock(block uint64, write bool) Result {
 	c.clock++
 	c.stats.Accesses++
-	if c.skewed {
+	if c.pl.skewed {
 		return c.accessSkewed(block, write)
 	}
 	return c.accessUniform(block, write)
@@ -428,7 +425,7 @@ func (c *Cache) AccessBlock(block uint64, write bool) Result {
 // accessUniform is the fused access path for non-skewed placements: one
 // index computation, then a contiguous scan of the set's ways.
 func (c *Cache) accessUniform(block uint64, write bool) Result {
-	s := c.setIndex(block, 0)
+	s := c.pl.SetIndex(block, 0)
 	base := int(s) * c.ways
 	set := c.lines[base : base+c.ways]
 	for w := range set {
@@ -465,7 +462,7 @@ func (c *Cache) accessUniform(block uint64, write bool) Result {
 func (c *Cache) accessSkewed(block uint64, write bool) Result {
 	idx := c.setScratch
 	for w := 0; w < c.ways; w++ {
-		s := c.setIndex(block, w)
+		s := c.pl.SetIndex(block, w)
 		idx[w] = s
 		ln := &c.lines[int(s)*c.ways+w]
 		if ln.valid && ln.block == block {
@@ -615,29 +612,6 @@ func (c *Cache) AccessStream(recs []trace.Rec) uint64 {
 	return n
 }
 
-// ReplaySource drains up to max records (0 = no limit) from s through
-// the cache in chunks, skipping non-memory records, and returns the
-// number of records consumed from the source.
-func (c *Cache) ReplaySource(s trace.Source, max uint64) uint64 {
-	buf := make([]trace.Rec, 4096)
-	var consumed uint64
-	for {
-		want := uint64(len(buf))
-		if max != 0 && max-consumed < want {
-			want = max - consumed
-		}
-		if want == 0 {
-			return consumed
-		}
-		n, eof := s.ReadChunk(buf[:want])
-		c.AccessStream(buf[:n])
-		consumed += uint64(n)
-		if eof {
-			return consumed
-		}
-	}
-}
-
 // replayMemRecs drives the load/store records of recs in order through
 // access, skipping non-memory records, and returns the number of
 // accesses performed.  It is the shared filter-and-replay loop behind
@@ -698,15 +672,15 @@ func (c *Cache) InsertBlock(block uint64, dirty bool) Result {
 	}
 	var w int
 	var s uint64
-	if c.skewed {
+	if c.pl.skewed {
 		idx := c.setScratch
 		for i := 0; i < c.ways; i++ {
-			idx[i] = c.setIndex(block, i)
+			idx[i] = c.pl.SetIndex(block, i)
 		}
 		w = c.victimWaySkewed(idx)
 		s = idx[w]
 	} else {
-		s = c.setIndex(block, 0)
+		s = c.pl.SetIndex(block, 0)
 		base := int(s) * c.ways
 		w = c.victimWayUniform(s, c.lines[base:base+c.ways])
 	}
@@ -780,8 +754,8 @@ func (c *Cache) Occupancy() int {
 
 // lookup scans every way for block, returning the (way, set) on hit.
 func (c *Cache) lookup(block uint64) (way int, set uint64, ok bool) {
-	if !c.skewed {
-		s := c.setIndex(block, 0)
+	if !c.pl.skewed {
+		s := c.pl.SetIndex(block, 0)
 		base := int(s) * c.ways
 		seti := c.lines[base : base+c.ways]
 		for w := range seti {
@@ -792,7 +766,7 @@ func (c *Cache) lookup(block uint64) (way int, set uint64, ok bool) {
 		return 0, 0, false
 	}
 	for w := 0; w < c.ways; w++ {
-		s := c.setIndex(block, w)
+		s := c.pl.SetIndex(block, w)
 		ln := &c.lines[int(s)*c.ways+w]
 		if ln.valid && ln.block == block {
 			return w, s, true

@@ -23,7 +23,7 @@ type ColumnAssociative struct {
 	blockBits int
 	idxBits   int
 	mask      uint64
-	poly      ipolyTables // the rehash A(x) mod P(x), one "way"
+	rehashPl  Placer // the rehash A(x) mod P(x)
 	lines     []caLine
 	// Swap controls promotion of second-probe hits into the conventional
 	// location (true = column-associative, false = hash-rehash).
@@ -64,7 +64,7 @@ func NewColumnAssociative(size, blockSize int, p gf2.Poly, vbits int) *ColumnAss
 		blockBits: bits.TrailingZeros(uint(blockSize)),
 		idxBits:   idxBits,
 		mask:      uint64(nLines - 1),
-		poly:      compileIPoly(index.NewIPoly([]gf2.Poly{p}, idxBits, vbits), 1),
+		rehashPl:  NewPlacer(index.NewIPoly([]gf2.Poly{p}, idxBits, vbits), nLines, 1),
 		lines:     make([]caLine, nLines),
 		Swap:      true,
 	}
@@ -84,7 +84,7 @@ func (c *ColumnAssociative) RehashIndex(block uint64) uint64 { return c.rehash(b
 func (c *ColumnAssociative) conventional(block uint64) uint64 { return block & c.mask }
 
 // rehash returns the second-probe index.
-func (c *ColumnAssociative) rehash(block uint64) uint64 { return c.poly.apply(block, 0) }
+func (c *ColumnAssociative) rehash(block uint64) uint64 { return c.rehashPl.SetIndex(block, 0) }
 
 // Access performs a read or write of the byte address.
 func (c *ColumnAssociative) Access(addr uint64, write bool) Result {

@@ -289,11 +289,15 @@ func TestAccessStreamMatchesScalar(t *testing.T) {
 		t.Errorf("AccessStream diverged:\nscalar  %+v\nbatched %+v", scalar.Stats(), batched.Stats())
 	}
 
-	streamed := New(cfg)
-	if n := streamed.ReplaySource(trace.NewSliceSource(recs), 0); n != uint64(len(recs)) {
-		t.Fatalf("ReplaySource consumed %d records, want %d", n, len(recs))
+	chunked := New(cfg)
+	var n uint64
+	for lo := 0; lo < len(recs); lo += 4096 {
+		n += chunked.AccessStream(recs[lo:min(lo+4096, len(recs))])
 	}
-	if scalar.Stats() != streamed.Stats() {
-		t.Errorf("ReplaySource diverged:\nscalar   %+v\nstreamed %+v", scalar.Stats(), streamed.Stats())
+	if n != uint64(mem) {
+		t.Fatalf("chunked AccessStream processed %d records, want %d", n, mem)
+	}
+	if scalar.Stats() != chunked.Stats() {
+		t.Errorf("chunked AccessStream diverged:\nscalar  %+v\nchunked %+v", scalar.Stats(), chunked.Stats())
 	}
 }

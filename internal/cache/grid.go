@@ -16,7 +16,7 @@
 // configurations that never consult LRU/FIFO stamps (direct-mapped
 // points, random/PLRU replacement) skip stamp maintenance entirely.
 // Placement functions are devirtualized per configuration at NewGrid
-// (the same placer resolution Cache uses), so the per-record inner loop
+// (the same Placer compilation Cache uses), so the per-record inner loop
 // is monomorphic and allocation-free.
 package cache
 
@@ -57,10 +57,9 @@ type gridPoint struct {
 	// size), the point's offset bits otherwise.
 	shift uint
 
-	// placer carries the devirtualized index, I-Poly byte tables
-	// included; the hot loops read placer.ipoly directly to inline the
-	// two-table apply.
-	placer
+	// pl carries the compiled index, I-Poly byte tables included; the
+	// hot loops read pl.ipoly directly to inline the two-table apply.
+	pl Placer
 
 	base    int      // first line index in the backing arrays
 	plru    []uint64 // tree-PLRU state per set (PLRU only)
@@ -127,13 +126,13 @@ func NewGrid(spec GridSpec) *Grid {
 		p.sets = sets
 		p.ways = cfg.Ways
 		p.shift = uint(bits.TrailingZeros(uint(cfg.BlockSize)))
-		p.placer = resolvePlacer(place, sets, cfg.Ways)
+		p.pl = NewPlacer(place, sets, cfg.Ways)
 		p.base = total
 		total += sets * cfg.Ways
 		if cfg.Replacement == PLRU {
 			p.plru = make([]uint64, sets)
 		}
-		if p.skewed {
+		if p.pl.skewed {
 			p.scratch = make([]uint64, cfg.Ways)
 		}
 		p.needLast = cfg.Ways > 1 && cfg.Replacement == LRU
@@ -246,14 +245,14 @@ func (g *Grid) AccessStream(recs []trace.Rec) uint64 {
 	for k := range g.pts {
 		p := &g.pts[k]
 		switch {
-		case p.skewed && p.sentinel && p.ways == 2:
+		case p.pl.skewed && p.sentinel && p.ways == 2:
 			g.replaySkewed2(p, blks, wr)
-		case p.skewed && p.sentinel && p.ways == 4 &&
-			p.cfg.Replacement == LRU && p.ipoly.tab2 != nil:
+		case p.pl.skewed && p.sentinel && p.ways == 4 &&
+			p.cfg.Replacement == LRU && p.pl.ipoly.tab2 != nil:
 			g.replaySkewed4LRU(p, blks, wr)
-		case p.skewed && p.sentinel:
+		case p.pl.skewed && p.sentinel:
 			g.replaySkewed(p, blks, wr)
-		case p.skewed:
+		case p.pl.skewed:
 			g.replaySkewedState(p, blks, wr)
 		case p.ways == 1 && p.plru == nil && p.sentinel:
 			g.replayDM(p, blks, wr)
@@ -276,10 +275,10 @@ func (g *Grid) AccessStream(recs []trace.Rec) uint64 {
 func (g *Grid) replayDM(p *gridPoint, blks []uint64, wr []bool) {
 	blocks, state := g.blocks, g.state
 	wb, wa := p.wb, p.wa
-	modulo := p.kind == pkModulo
+	modulo := p.pl.kind == pkModulo
 	var tab2 *[512]uint32
-	if p.ipoly.tab2 != nil {
-		tab2 = p.ipoly.tab2[0]
+	if p.pl.ipoly.tab2 != nil {
+		tab2 = &p.pl.ipoly.tab2[0]
 	}
 	st := p.stats
 	for i, blk := range blks {
@@ -289,12 +288,12 @@ func (g *Grid) replayDM(p *gridPoint, blks []uint64, wr []bool) {
 		var s uint64
 		switch {
 		case modulo:
-			s = blk & p.setMask
+			s = blk & p.pl.setMask
 		case tab2 != nil:
-			a := blk & p.ipoly.mask
+			a := blk & p.pl.ipoly.mask
 			s = uint64(tab2[a&0xff] ^ tab2[256|int(a>>8)])
 		default:
-			s = p.setIndex(blk, 0)
+			s = p.pl.SetIndex(blk, 0)
 		}
 		li := p.base + int(s)
 		if blocks[li] == blk {
@@ -349,7 +348,7 @@ func (g *Grid) replayUniform(p *gridPoint, blks []uint64, wr []bool) {
 	blocks, state := g.blocks, g.state
 	ways := p.ways
 	wb, wa := p.wb, p.wa
-	modulo := p.kind == pkModulo
+	modulo := p.pl.kind == pkModulo
 	st := p.stats
 	clock := p.clock
 	for i, blk := range blks {
@@ -359,9 +358,9 @@ func (g *Grid) replayUniform(p *gridPoint, blks []uint64, wr []bool) {
 		st.Accesses++
 		var s uint64
 		if modulo {
-			s = blk & p.setMask
+			s = blk & p.pl.setMask
 		} else {
-			s = p.setIndex(blk, 0)
+			s = p.pl.SetIndex(blk, 0)
 		}
 		base := p.base + int(s)*ways
 		set := blocks[base : base+ways]
@@ -461,7 +460,7 @@ func (g *Grid) replayUniformState(p *gridPoint, blks []uint64, wr []bool) {
 		write := wr[i]
 		clock++
 		st.Accesses++
-		s := p.setIndex(blk, 0)
+		s := p.pl.SetIndex(blk, 0)
 		base := p.base + int(s)*ways
 		hit := -1
 		for w := 0; w < ways; w++ {
@@ -549,7 +548,7 @@ func (g *Grid) replayUniformState(p *gridPoint, blks []uint64, wr []bool) {
 func (g *Grid) replayUniform2(p *gridPoint, blks []uint64, wr []bool) {
 	blocks, state := g.blocks, g.state
 	wb, wa := p.wb, p.wa
-	modulo := p.kind == pkModulo
+	modulo := p.pl.kind == pkModulo
 	st := p.stats
 	clock := p.clock
 	for i, blk := range blks {
@@ -559,9 +558,9 @@ func (g *Grid) replayUniform2(p *gridPoint, blks []uint64, wr []bool) {
 		st.Accesses++
 		var s uint64
 		if modulo {
-			s = blk & p.setMask
+			s = blk & p.pl.setMask
 		} else {
-			s = p.setIndex(blk, 0)
+			s = p.pl.SetIndex(blk, 0)
 		}
 		base := p.base + int(s)*2
 		var li int
@@ -634,7 +633,7 @@ func (g *Grid) replayUniform2(p *gridPoint, blks []uint64, wr []bool) {
 func (g *Grid) replayUniform4LRU(p *gridPoint, blks []uint64, wr []bool) {
 	blocks, state := g.blocks, g.state
 	wb, wa := p.wb, p.wa
-	modulo := p.kind == pkModulo
+	modulo := p.pl.kind == pkModulo
 	st := p.stats
 	clock := p.clock
 	for i, blk := range blks {
@@ -644,9 +643,9 @@ func (g *Grid) replayUniform4LRU(p *gridPoint, blks []uint64, wr []bool) {
 		st.Accesses++
 		var s uint64
 		if modulo {
-			s = blk & p.setMask
+			s = blk & p.pl.setMask
 		} else {
-			s = p.setIndex(blk, 0)
+			s = p.pl.SetIndex(blk, 0)
 		}
 		base := p.base + int(s)*4
 		set := blocks[base : base+4 : base+4]
@@ -721,10 +720,10 @@ func (g *Grid) replaySkewed2(p *gridPoint, blks []uint64, wr []bool) {
 	blocks, state := g.blocks, g.state
 	wb, wa := p.wb, p.wa
 	var t0, t1 *[512]uint32
-	if p.ipoly.tab2 != nil {
-		t0, t1 = p.ipoly.tab2[0], p.ipoly.tab2[1]
+	if p.pl.ipoly.tab2 != nil {
+		t0, t1 = &p.pl.ipoly.tab2[0], &p.pl.ipoly.tab2[1]
 	}
-	mask := p.ipoly.mask
+	mask := p.pl.ipoly.mask
 	st := p.stats
 	clock := p.clock
 	for i, blk := range blks {
@@ -739,7 +738,7 @@ func (g *Grid) replaySkewed2(p *gridPoint, blks []uint64, wr []bool) {
 			a := blk & mask
 			s0 = uint64(t0[a&0xff] ^ t0[256|int(a>>8)])
 		} else {
-			s0 = p.setIndex(blk, 0)
+			s0 = p.pl.SetIndex(blk, 0)
 		}
 		li0 := p.base + int(s0)*2
 		var li int
@@ -751,7 +750,7 @@ func (g *Grid) replaySkewed2(p *gridPoint, blks []uint64, wr []bool) {
 				a := blk & mask
 				s1 = uint64(t1[a&0xff] ^ t1[256|int(a>>8)])
 			} else {
-				s1 = p.setIndex(blk, 1)
+				s1 = p.pl.SetIndex(blk, 1)
 			}
 			li1 := p.base + int(s1)*2 + 1
 			if blocks[li1] == blk {
@@ -815,8 +814,8 @@ func (g *Grid) replaySkewed2(p *gridPoint, blks []uint64, wr []bool) {
 func (g *Grid) replaySkewed4LRU(p *gridPoint, blks []uint64, wr []bool) {
 	blocks, state := g.blocks, g.state
 	wb, wa := p.wb, p.wa
-	t0, t1, t2, t3 := p.ipoly.tab2[0], p.ipoly.tab2[1], p.ipoly.tab2[2], p.ipoly.tab2[3]
-	mask := p.ipoly.mask
+	t0, t1, t2, t3 := &p.pl.ipoly.tab2[0], &p.pl.ipoly.tab2[1], &p.pl.ipoly.tab2[2], &p.pl.ipoly.tab2[3]
+	mask := p.pl.ipoly.mask
 	st := p.stats
 	clock := p.clock
 	for i, blk := range blks {
@@ -906,7 +905,7 @@ func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
 	blocks, state := g.blocks, g.state
 	ways := p.ways
 	wb, wa := p.wb, p.wa
-	tab2 := p.ipoly.tab2
+	tab2 := p.pl.ipoly.tab2
 	idx := p.scratch
 	st := p.stats
 	clock := p.clock
@@ -920,11 +919,11 @@ func (g *Grid) replaySkewed(p *gridPoint, blks []uint64, wr []bool) {
 		for w := 0; w < ways; w++ {
 			var s uint64
 			if tab2 != nil {
-				a := blk & p.ipoly.mask
-				t := tab2[w]
+				a := blk & p.pl.ipoly.mask
+				t := &tab2[w]
 				s = uint64(t[a&0xff] ^ t[256|int(a>>8)])
 			} else {
-				s = p.setIndex(blk, w)
+				s = p.pl.SetIndex(blk, w)
 			}
 			idx[w] = s
 			li := p.base + int(s)*ways + w
@@ -990,7 +989,7 @@ func (g *Grid) replaySkewedState(p *gridPoint, blks []uint64, wr []bool) {
 		hit := -1
 		hitLi := 0
 		for w := 0; w < ways; w++ {
-			s := p.setIndex(blk, w)
+			s := p.pl.SetIndex(blk, w)
 			idx[w] = s
 			li := p.base + int(s)*ways + w
 			if state[li]&lineValid != 0 && blocks[li] == blk {

@@ -29,7 +29,7 @@ func TestIPolyTablesMatchApply(t *testing.T) {
 				blk &= 1<<uint(vbits) - 1
 			}
 			for w := 0; w < ways; w++ {
-				if got, want := c.setIndex(blk, w), place.Matrix(w).Apply(blk); got != want {
+				if got, want := c.pl.SetIndex(blk, w), place.Matrix(w).Apply(blk); got != want {
 					t.Fatalf("vbits %d way %d block %#x: table %#x, Apply %#x", vbits, w, blk, got, want)
 				}
 			}

@@ -9,19 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// placeKind tags the monomorphic index fast path resolved at New, the
-// same devirtualization the cache package applies (non-skewed families
-// only: the engine rejects skewed placements).
-type placeKind uint8
-
-const (
-	pkGeneric placeKind = iota // interface dispatch (external implementations)
-	pkModulo                   // block & mask
-	pkXorFold                  // lo ^ hi fold
-	pkIPoly                    // way-0 GF(2) matrix via byte tables
-	pkSingle                   // fully-associative single set
-)
-
 // Engine simulates every associativity 1..MaxWays of one LRU cache
 // family — fixed set count, fixed non-skewed index function — in a
 // single trace pass.  Each set keeps a truncated stack of its blocks in
@@ -47,19 +34,9 @@ type Engine struct {
 	maxWays int
 	offBits uint
 
-	kind  placeKind
-	place index.Placement
-	// pkModulo.
-	setMask uint64
-	// pkXorFold.
-	foldBits uint
-	foldMask uint64
-	// pkIPoly: way-0 matrix compiled to per-input-byte tables (see
-	// gf2.ByteTables), with the two-table view when the input fits 16
-	// bits.
-	tabs    []uint32
-	tab2    *[512]uint32
-	tabMask uint64
+	// pl is the compiled placement; the engine indexes through way 0
+	// only, since it accepts non-skewed placements alone.
+	pl cache.Placer
 
 	// Per-set stacks, flat: position i of set s lives at s*maxWays+i.
 	// blocks holds block addresses, touch the last-touch clock (the
@@ -117,30 +94,7 @@ func New(cfg Config) *Engine {
 		sets:    cfg.Sets,
 		maxWays: cfg.MaxWays,
 		offBits: uint(bits.TrailingZeros(uint(cfg.BlockSize))),
-		kind:    pkGeneric,
-		place:   place,
-	}
-	switch p := place.(type) {
-	case *index.Modulo:
-		e.kind = pkModulo
-		e.setMask = uint64(cfg.Sets - 1)
-	case *index.XORFold:
-		e.kind = pkXorFold
-		e.foldBits = uint(p.Bits())
-		e.foldMask = 1<<e.foldBits - 1
-	case *index.IPoly:
-		e.kind = pkIPoly
-		m := p.Matrix(0)
-		e.tabs = m.ByteTables()
-		e.tabMask = ^uint64(0)
-		if in := m.InputBits(); in < 64 {
-			e.tabMask = 1<<uint(in) - 1
-		}
-		if len(e.tabs) == 512 {
-			e.tab2 = (*[512]uint32)(e.tabs)
-		}
-	case index.Single:
-		e.kind = pkSingle
+		pl:      cache.NewPlacer(place, cfg.Sets, 1),
 	}
 	n := cfg.Sets * cfg.MaxWays
 	e.blocks = make([]uint64, n)
@@ -166,32 +120,6 @@ func (e *Engine) Sets() int { return e.sets }
 // MaxWays returns the largest tracked associativity.
 func (e *Engine) MaxWays() int { return e.maxWays }
 
-// setIndex computes the set index for a block address through the
-// devirtualized fast path.
-func (e *Engine) setIndex(blk uint64) uint64 {
-	switch e.kind {
-	case pkModulo:
-		return blk & e.setMask
-	case pkXorFold:
-		return (blk ^ (blk >> e.foldBits)) & e.foldMask
-	case pkIPoly:
-		a := blk & e.tabMask
-		if t := e.tab2; t != nil {
-			return uint64(t[a&0xff] ^ t[256|int(a>>8)])
-		}
-		s := uint64(e.tabs[a&0xff])
-		for t := 1; a > 0xff; t++ {
-			a >>= 8
-			s ^= uint64(e.tabs[t<<8|int(a&0xff)])
-		}
-		return s
-	case pkSingle:
-		return 0
-	default:
-		return e.place.SetIndex(blk, 0)
-	}
-}
-
 // Access records one load (write=false) or store (write=true) of the
 // byte address addr.
 func (e *Engine) Access(addr uint64, write bool) {
@@ -202,7 +130,7 @@ func (e *Engine) Access(addr uint64, write bool) {
 func (e *Engine) AccessBlock(blk uint64, write bool) {
 	e.clock++
 	now := e.clock
-	si := int(e.setIndex(blk))
+	si := int(e.pl.SetIndex(blk, 0))
 	base := si * e.maxWays
 	dep := int(e.depth[si])
 	d := -1
@@ -235,7 +163,19 @@ func (e *Engine) AccessBlock(blk uint64, write bool) {
 			}
 			return
 		}
-		e.promote(base, d, blk, now, write)
+		// An allocating hit moves the block to the top.  A store dirties
+		// the line where it was resident and the fill installs it dirty
+		// everywhere else; a load refills it clean in the caches that
+		// missed (ways <= d) while deeper caches keep their dirty state.
+		newMin := int32(1)
+		if !write && e.dirtyMin != nil {
+			newMin = maxInt32(e.dirtyMin[base+d], int32(d+1))
+		}
+		if d == 0 {
+			e.park(base, blk, now, newMin)
+			return
+		}
+		e.cascade(base, si, d, blk, now, newMin)
 		return
 	}
 	if write {
@@ -246,127 +186,72 @@ func (e *Engine) AccessBlock(blk uint64, write bool) {
 	if !alloc {
 		return
 	}
-	e.insertCold(base, si, dep, blk, now, write)
+	// An allocating cold access enters at the top.
+	newMin := e.cleanMin()
+	if write {
+		newMin = 1
+	}
+	if dep == 0 {
+		e.park(base, blk, now, newMin)
+		e.depth[si] = 1
+		return
+	}
+	e.cascade(base, si, dep, blk, now, newMin)
 }
 
 // cleanMin is the dirtyMin sentinel for a clean line: no tracked
 // associativity holds it dirty.
 func (e *Engine) cleanMin() int32 { return int32(e.maxWays + 1) }
 
-// placeTop installs the accessed block at position 0 and returns the
-// displaced occupant — the 1-way cache's victim, the cascade's first
-// carry.
-func (e *Engine) placeTop(base int, blk, now uint64, write bool) (cb, ct uint64, cdm int32) {
-	cb, ct = e.blocks[base], e.touch[base]
+// cascade moves blk to the top of set si's stack (flat base base), with
+// dirty threshold newMin, and runs the victim cascade over positions
+// 1..n-1.  n >= 1 is the block's old position on a hit, or the stack
+// depth on a cold access; either way every cache with ways <= n misses
+// and is full.  The displaced top is the first carry, the 1-way cache's
+// victim.  At each level i the carry is v_i, the last-touch minimum of
+// the old top i entries: the block the i-way cache evicts.  A level
+// whose resident entry is older than the carry swaps roles: the
+// resident falls, the carry parks.  The final carry v_n parks at
+// position n, which is the hit's old slot (v_n stays resident in every
+// deeper cache) or the free slot below a cold stack; a full cold stack
+// drops it, evicted from the deepest tracked cache too.
+func (e *Engine) cascade(base, si, n int, blk, now uint64, newMin int32) {
+	ndm := e.dirtyMin
+	cb, ct := e.blocks[base], e.touch[base]
+	var cdm int32
 	e.blocks[base], e.touch[base] = blk, now
+	if ndm != nil {
+		cdm = ndm[base]
+		ndm[base] = newMin
+	}
+	for i := 1; i < n; i++ {
+		if e.wbAt != nil && cdm <= int32(i) {
+			e.wbAt[i]++
+		}
+		if e.touch[base+i] < ct {
+			e.blocks[base+i], cb = cb, e.blocks[base+i]
+			e.touch[base+i], ct = ct, e.touch[base+i]
+			if ndm != nil {
+				ndm[base+i], cdm = cdm, ndm[base+i]
+			}
+		}
+	}
+	if e.wbAt != nil && cdm <= int32(n) {
+		e.wbAt[n]++
+	}
+	if n < e.maxWays {
+		e.park(base+n, cb, ct, cdm)
+		if n == int(e.depth[si]) {
+			e.depth[si]++
+		}
+	}
+}
+
+// park writes a stack entry at flat position pos.
+func (e *Engine) park(pos int, blk, touch uint64, dm int32) {
+	e.blocks[pos], e.touch[pos] = blk, touch
 	if e.dirtyMin != nil {
-		cdm = e.dirtyMin[base]
-	}
-	return cb, ct, cdm
-}
-
-// promote handles an allocating access that found its block at position
-// d >= 1: the block moves to the top with refreshed state, and the
-// victim cascade runs over positions 1..d.  At each level i the carry
-// is v_i, the last-touch minimum of the old top i entries — the block
-// the i-way cache evicts (every cache with ways <= d misses and is
-// full, since the set is more than d deep).  A level whose resident
-// entry is older than the carry swaps roles: the resident falls, the
-// carry parks.  The old position d finally receives v_d, which remains
-// resident everywhere deeper.
-func (e *Engine) promote(base, d int, blk, now uint64, write bool) {
-	ndm := e.dirtyMin
-	var newMin int32
-	if ndm != nil {
-		if write {
-			// Write-allocate store: a hit dirties the line where it was
-			// resident and the fill installs it dirty everywhere else.
-			newMin = 1
-		} else {
-			// Load: caches that missed (ways <= d) refill the line
-			// clean; deeper caches keep their dirty state.
-			newMin = maxInt32(ndm[base+d], int32(d+1))
-		}
-	}
-	if d == 0 {
-		e.touch[base] = now
-		if ndm != nil {
-			ndm[base] = newMin
-		}
-		return
-	}
-	cb, ct, cdm := e.placeTop(base, blk, now, write)
-	if ndm != nil {
-		ndm[base] = newMin
-	}
-	for i := 1; i < d; i++ {
-		if e.wbAt != nil && cdm <= int32(i) {
-			e.wbAt[i]++
-		}
-		if e.touch[base+i] < ct {
-			e.blocks[base+i], cb = cb, e.blocks[base+i]
-			e.touch[base+i], ct = ct, e.touch[base+i]
-			if ndm != nil {
-				ndm[base+i], cdm = cdm, ndm[base+i]
-			}
-		}
-	}
-	if e.wbAt != nil && cdm <= int32(d) {
-		e.wbAt[d]++
-	}
-	e.blocks[base+d], e.touch[base+d] = cb, ct
-	if ndm != nil {
-		ndm[base+d] = cdm
-	}
-}
-
-// insertCold handles an allocating access whose block is absent from
-// the stack: it enters at the top and the cascade walks the whole
-// depth.  Caches with ways <= dep are full and evict their victims; the
-// final carry parks at position dep when the stack has room and is
-// otherwise evicted from the deepest tracked cache too and dropped.
-func (e *Engine) insertCold(base, si, dep int, blk, now uint64, write bool) {
-	ndm := e.dirtyMin
-	var newMin int32
-	if ndm != nil {
-		newMin = e.cleanMin()
-		if write {
-			newMin = 1
-		}
-	}
-	if dep == 0 {
-		e.blocks[base], e.touch[base] = blk, now
-		if ndm != nil {
-			ndm[base] = newMin
-		}
-		e.depth[si] = 1
-		return
-	}
-	cb, ct, cdm := e.placeTop(base, blk, now, write)
-	if ndm != nil {
-		ndm[base] = newMin
-	}
-	for i := 1; i < dep; i++ {
-		if e.wbAt != nil && cdm <= int32(i) {
-			e.wbAt[i]++
-		}
-		if e.touch[base+i] < ct {
-			e.blocks[base+i], cb = cb, e.blocks[base+i]
-			e.touch[base+i], ct = ct, e.touch[base+i]
-			if ndm != nil {
-				ndm[base+i], cdm = cdm, ndm[base+i]
-			}
-		}
-	}
-	if e.wbAt != nil && cdm <= int32(dep) {
-		e.wbAt[dep]++
-	}
-	if dep < e.maxWays {
-		e.blocks[base+dep], e.touch[base+dep] = cb, ct
-		if ndm != nil {
-			ndm[base+dep] = cdm
-		}
-		e.depth[si] = int32(dep + 1)
+		e.dirtyMin[pos] = dm
 	}
 }
 
@@ -386,29 +271,6 @@ func (e *Engine) AccessStream(recs []trace.Rec) uint64 {
 		n++
 	}
 	return n
-}
-
-// ReplaySource drains up to max records (0 = no limit) from s through
-// the engine in chunks, skipping non-memory records, and returns the
-// number of records consumed from the source.
-func (e *Engine) ReplaySource(s trace.Source, max uint64) uint64 {
-	buf := make([]trace.Rec, 4096)
-	var consumed uint64
-	for {
-		want := uint64(len(buf))
-		if max != 0 && max-consumed < want {
-			want = max - consumed
-		}
-		if want == 0 {
-			return consumed
-		}
-		n, eof := s.ReadChunk(buf[:want])
-		e.AccessStream(buf[:n])
-		consumed += uint64(n)
-		if eof {
-			return consumed
-		}
-	}
 }
 
 // StatsAt reconstructs the exact statistics of the family's ways-way

@@ -8,9 +8,8 @@ package gf2
 //
 // Table t occupies tabs[t<<8 : t<<8+256].  Replacing the per-row parity
 // network with two or three table loads is how the simulation engines
-// keep polynomial placements off the critical path: the cache package
-// compiles the tables once per placement for Cache, Grid and
-// ColumnAssociative, and cache/stackdist compiles its own.  Hardware
+// keep polynomial placements off the critical path: cache.NewPlacer
+// compiles the tables once per placement for every engine.  Hardware
 // would instead synthesise the XOR trees that GateDescription reports.
 func (bm *BitMatrix) ByteTables() []uint32 {
 	ntab := (bm.in + 7) / 8

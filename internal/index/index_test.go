@@ -124,17 +124,27 @@ func TestIPolyStride2kConflictFree(t *testing.T) {
 	// §2.1.2: strides of the form 2^k produce conflict-free M-long
 	// subsequences.  For each 2^k stride, walking M consecutive strided
 	// blocks must touch M distinct indices (direct-mapped view, way 0).
-	ip := NewIPolyDefault(1, 7, 19)
+	// The guarantee holds while the walk stays within the hashed bits:
+	// 128 blocks of stride 2^k span 7+k bits.
 	M := uint64(128)
-	for k := uint(0); k <= 10; k++ {
-		stride := uint64(1) << k
-		seen := make(map[uint64]bool, M)
-		for i := uint64(0); i < M; i++ {
-			idx := ip.SetIndex(i*stride, 0)
-			if seen[idx] {
-				t.Fatalf("stride 2^%d: index %d repeated within %d-long subsequence", k, idx, M)
+	for _, tc := range []struct {
+		ways, vbits int
+		maxK        uint
+	}{
+		{1, 19, 10},
+		{2, 14, 6}, // the paper's L1: 19 address bits, 32-byte lines
+	} {
+		ip := NewIPolyDefault(tc.ways, 7, tc.vbits)
+		for k := uint(0); k <= tc.maxK; k++ {
+			stride := uint64(1) << k
+			seen := make(map[uint64]bool, M)
+			for i := uint64(0); i < M; i++ {
+				idx := ip.SetIndex(i*stride, 0)
+				if seen[idx] {
+					t.Fatalf("vbits %d, stride 2^%d: index %d repeated within %d-long subsequence", tc.vbits, k, idx, M)
+				}
+				seen[idx] = true
 			}
-			seen[idx] = true
 		}
 	}
 }
@@ -153,13 +163,33 @@ func TestModuloLargePow2StrideDegenerates(t *testing.T) {
 }
 
 func TestIPolyInputBitsAndPolys(t *testing.T) {
-	ip := NewIPolyDefault(2, 7, 14)
-	if ip.InputBits() != 14 {
-		t.Errorf("InputBits = %d", ip.InputBits())
+	custom := []gf2.Poly{gf2.Irreducibles(7, 3)[2], gf2.Irreducibles(7, 3)[0]}
+	for _, tc := range []struct {
+		name string
+		ip   *IPoly
+		want []gf2.Poly
+	}{
+		{"skewed default", NewIPolyDefault(2, 7, 14), gf2.Irreducibles(7, 2)},
+		{"shared default", NewIPolyDefault(1, 7, 14), gf2.Irreducibles(7, 1)},
+		{"custom", NewIPoly(custom, 7, 14), custom},
+	} {
+		if tc.ip.InputBits() != 14 || tc.ip.Sets() != 128 {
+			t.Errorf("%s: InputBits = %d, Sets = %d", tc.name, tc.ip.InputBits(), tc.ip.Sets())
+		}
+		got := tc.ip.Polys()
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: Polys = %v, want %v", tc.name, got, tc.want)
+		}
+		for i, p := range got {
+			if p != tc.want[i] || !gf2.Irreducible(p) || p.Degree() != 7 {
+				t.Errorf("%s: Polys = %v, want %v", tc.name, got, tc.want)
+			}
+		}
 	}
+	ip := NewIPolyDefault(2, 7, 14)
 	ps := ip.Polys()
-	if len(ps) != 2 || ps[0] == ps[1] {
-		t.Errorf("Polys = %v", ps)
+	if ps[0] == ps[1] {
+		t.Errorf("skewed default polynomials not distinct: %v", ps)
 	}
 	// Mutating the returned slice must not affect the placement.
 	ps[0] = 0
@@ -169,9 +199,10 @@ func TestIPolyInputBitsAndPolys(t *testing.T) {
 }
 
 func TestIPolyMaxFanInBounded(t *testing.T) {
+	// The paper's L1 hash needs at most 5-input XOR gates (§3.4).
 	ip := NewIPolyDefault(2, 7, 14)
-	if f := ip.MaxFanIn(); f < 1 || f > 14 {
-		t.Errorf("MaxFanIn = %d out of sane range", f)
+	if f := ip.MaxFanIn(); f < 2 || f > 5 {
+		t.Errorf("MaxFanIn = %d, want 2..5", f)
 	}
 }
 

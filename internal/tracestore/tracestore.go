@@ -56,9 +56,6 @@ import (
 // of ReplayMemChunks that ring-buffer their own chunks.
 const ChunkLen = 1 << 13
 
-// chunkLen is the internal alias the replay loops use.
-const chunkLen = ChunkLen
-
 // packedBytesPerRec is the struct-of-arrays cost of one record: 8 bytes
 // of address plus one op bit.
 const packedBytesPerRec = 8.125
@@ -202,14 +199,7 @@ func packedBytes(max uint64) int64 {
 // trace is served from the memoized store when it fits the byte budget
 // and streamed straight from the generator otherwise.
 func (s *Store) ReplayMem(ctx context.Context, prof workload.Profile, seed, max uint64, fn func(recs []trace.Rec)) error {
-	buf := make([]trace.Rec, 0, chunkLen)
-	return s.ReplayMemChunks(ctx, prof, seed, max,
-		func() []trace.Rec { return buf[:0] },
-		func(recs []trace.Rec) {
-			if len(recs) > 0 {
-				fn(recs)
-			}
-		})
+	return s.ReplayMemRange(ctx, prof, seed, max, 0, max, fn)
 }
 
 // ReplayMemChunks is ReplayMem with caller-owned chunk buffers: before
@@ -231,8 +221,8 @@ func (s *Store) ReplayMemChunks(ctx context.Context, prof workload.Profile, seed
 // predecessor's.  hi is clamped to the trace length; an empty window is
 // a no-op.
 func (s *Store) ReplayMemRange(ctx context.Context, prof workload.Profile, seed, max, lo, hi uint64, fn func(recs []trace.Rec)) error {
-	buf := make([]trace.Rec, 0, chunkLen)
-	return s.ReplayMemRangeChunks(ctx, prof, seed, max, lo, hi,
+	buf := make([]trace.Rec, 0, ChunkLen)
+	return s.replayRangeChunks(ctx, prof, seed, max, lo, hi,
 		func() []trace.Rec { return buf[:0] },
 		func(recs []trace.Rec) {
 			if len(recs) > 0 {
@@ -241,38 +231,24 @@ func (s *Store) ReplayMemRange(ctx context.Context, prof workload.Profile, seed,
 		})
 }
 
-// ReplayMemRangeChunks is ReplayMemRange with caller-owned chunk
-// buffers, under the same contract as ReplayMemChunks.
-func (s *Store) ReplayMemRangeChunks(ctx context.Context, prof workload.Profile, seed, max, lo, hi uint64, next func() []trace.Rec, emit func(recs []trace.Rec)) error {
-	if hi > max {
-		hi = max
-	}
-	if lo >= hi {
-		return ctx.Err()
-	}
-	return s.replayRangeChunks(ctx, prof, seed, max, lo, hi, next, emit)
-}
-
 // MemLen reports how many memory records the first max records of
 // (prof, seed) actually contain: max for the infinite synthetic
 // generators, possibly fewer for a finite external trace file.  As a
 // side effect the trace is materialized (budget permitting), so the
 // replays that typically follow are store hits.
 func (s *Store) MemLen(ctx context.Context, prof workload.Profile, seed, max uint64) (uint64, error) {
-	buf := make([]trace.Rec, 0, chunkLen)
 	var n uint64
-	err := s.ReplayMemChunks(ctx, prof, seed, max,
-		func() []trace.Rec { return buf[:0] },
-		func(recs []trace.Rec) { n += uint64(len(recs)) })
+	err := s.ReplayMem(ctx, prof, seed, max, func(recs []trace.Rec) { n += uint64(len(recs)) })
 	return n, err
 }
 
 // replayRangeChunks is the shared admission/materialization path:
 // deliver records [lo, hi) of the first max memory records, memoizing
 // the whole max-record prefix when the budget allows and streaming the
-// window otherwise.
+// window otherwise.  hi is clamped to max.
 func (s *Store) replayRangeChunks(ctx context.Context, prof workload.Profile, seed, max, lo, hi uint64, next func() []trace.Rec, emit func(recs []trace.Rec)) error {
-	if max == 0 || lo >= hi {
+	hi = min(hi, max)
+	if lo >= hi {
 		return ctx.Err()
 	}
 	key := Key{ProfileHash: ProfileKey(prof), Seed: seed}
@@ -393,12 +369,12 @@ func (e *entry) generate(ctx context.Context, max uint64) error {
 	e.stores = make([]uint64, (max+63)/64)
 	e.n = 0
 	e.done = false
-	buf := make([]trace.Rec, chunkLen)
+	buf := make([]trace.Rec, ChunkLen)
 	for e.n < max {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		want := uint64(chunkLen)
+		want := uint64(ChunkLen)
 		if max-e.n < want {
 			want = max - e.n
 		}
@@ -548,12 +524,12 @@ func streamMemRange(ctx context.Context, prof workload.Profile, seed, lo, hi uin
 	defer closeSrc()
 	var pos uint64 // records consumed from the source so far
 	if lo > 0 {
-		skip := make([]trace.Rec, chunkLen)
+		skip := make([]trace.Rec, ChunkLen)
 		for pos < lo {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			want := uint64(chunkLen)
+			want := uint64(ChunkLen)
 			if lo-pos < want {
 				want = lo - pos
 			}

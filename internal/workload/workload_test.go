@@ -129,7 +129,13 @@ func TestValidOpsAndPCs(t *testing.T) {
 // missRatio runs a profile's memory stream through a cache and returns
 // the load miss ratio.
 func missRatio(p Profile, c *cache.Cache, n uint64) float64 {
-	c.ReplaySource(&trace.Limit{S: &trace.MemOnly{S: Source(p, 11)}, N: n}, 0)
+	src := &trace.Limit{S: &trace.MemOnly{S: Source(p, 11)}, N: n}
+	buf := make([]trace.Rec, 4096)
+	for eof := false; !eof; {
+		var k int
+		k, eof = src.ReadChunk(buf)
+		c.AccessStream(buf[:k])
+	}
 	return c.Stats().ReadMissRatio()
 }
 
